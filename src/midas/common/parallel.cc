@@ -44,7 +44,7 @@ struct TaskPool::Batch {
   std::string span_prefix;
   /// Submitter's causal trace, inherited by whichever thread runs a chunk —
   /// kernel work is attributed to the owning batch even when stolen. The
-  /// submitter outlives the batch (it blocks on done_cv), so the raw
+  /// submitter outlives the batch (it blocks until `done`), so the raw
   /// pointer is safe.
   obs::TraceContext* trace = nullptr;
 
@@ -54,8 +54,12 @@ struct TaskPool::Batch {
   std::mutex err_mu;
   std::exception_ptr error;
 
+  /// Set by the last chunk under done_mu. The submitter waits on this flag,
+  /// not on `remaining`: the batch lives on the submitter's stack, so the
+  /// last chunk must be done touching it before the submitter may return.
   std::mutex done_mu;
   std::condition_variable done_cv;
+  bool done = false;
 };
 
 TaskPool::TaskPool(int num_threads) {
@@ -124,9 +128,12 @@ void TaskPool::RunChunk(const Chunk& c) {
   }
   size_t span = c.end - c.begin;
   if (b->remaining.fetch_sub(span, std::memory_order_acq_rel) == span) {
-    // Last chunk of the batch: wake the submitter. Taking done_mu between
-    // its predicate check and its wait closes the lost-wakeup window.
-    { std::lock_guard<std::mutex> lock(b->done_mu); }
+    // Last chunk of the batch: publish completion and notify while holding
+    // done_mu. The submitter cannot see `done` before this thread releases
+    // the lock, so its return (which destroys the batch) never overlaps the
+    // notify.
+    std::lock_guard<std::mutex> lock(b->done_mu);
+    b->done = true;
     b->done_cv.notify_all();
   }
 }
@@ -228,9 +235,7 @@ void TaskPool::ParallelFor(size_t n, const std::function<void(size_t)>& body,
   }
   {
     std::unique_lock<std::mutex> lock(batch.done_mu);
-    batch.done_cv.wait(lock, [&batch] {
-      return batch.remaining.load(std::memory_order_acquire) == 0;
-    });
+    batch.done_cv.wait(lock, [&batch] { return batch.done; });
   }
 
   if (reg.enabled()) {

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_map>
+#include <unordered_set>
 
+#include "midas/graph/canonical.h"
 #include "midas/graph/compute_cache.h"
 #include "midas/graph/subgraph_iso.h"
 
@@ -99,11 +101,25 @@ void FctSet::MaintainAdd(const GraphDatabase& db_after,
   miner.pool = pool;
   std::vector<MinedTree> delta_trees = MineFrequentTrees(delta, miner);
 
-  // Corollary 4.3 case (2): trees closed/frequent in the delta but unknown
-  // to the pool need one full-database occurrence scan.
+  // Corollary 4.3 case (2): a delta tree unknown to the pool joins it iff
+  // its support over D ⊕ Δ reaches the pool threshold t, so it is counted
+  // only until that is decided. Support is antitone: the tree's occurrences
+  // lie inside each of its edge labels' lists and inside the occurrence set
+  // of each (k-1)-edge subtree left by deleting a leaf. Those subtrees are
+  // delta trees one level down (the delta lattice is downward closed and the
+  // miner emits it level by level), so each was settled before the tree: it
+  // is in pool_ with its D ⊕ Δ occurrence set (an old entry after step 2, or
+  // admitted earlier in this loop) or in `below`. Unbudgeted, those sets are
+  // exact, the candidates cover the true occurrences, every probe gives the
+  // verdict a full scan would, and a tree is dropped only when its support
+  // is provably below t — exactly when RecomputeFlags would prune it.
+  db_size_ = db_after.size();
+  const size_t t = MinCount(config_.sup_min / 2.0);
+  const uint64_t epoch = db_after.epoch();
+  ComputeCache& cache = ComputeCache::Global();
+  std::unordered_set<std::string> below;  // delta trees proven below t
   for (MinedTree& mt : delta_trees) {
     if (pool_.count(mt.canon) > 0) continue;
-    // Candidate graphs must contain every edge label of the tree.
     IdSet candidates;
     bool first = true;
     for (const EdgeLabelPair& lp : mt.tree.DistinctEdgeLabels()) {
@@ -117,39 +133,66 @@ void FctSet::MaintainAdd(const GraphDatabase& db_after,
         candidates = IdSet::Intersection(candidates, occ);
       }
     }
+    const bool one_edge = mt.tree.NumEdges() == 1;
+    bool subtree_below = false;
+    for (VertexId leaf = 0; !one_edge && leaf < mt.tree.NumVertices();
+         ++leaf) {
+      if (mt.tree.Degree(leaf) != 1) continue;
+      std::vector<VertexId> keep;
+      for (VertexId v = 0; v < mt.tree.NumVertices(); ++v) {
+        if (v != leaf) keep.push_back(v);
+      }
+      std::string sub = CanonicalTreeString(mt.tree.InducedSubgraph(keep));
+      if (below.count(sub) > 0) {
+        subtree_below = true;
+        break;
+      }
+      auto it = pool_.find(sub);
+      if (it != pool_.end()) {
+        candidates = IdSet::Intersection(candidates, it->second.occurrences);
+      }
+    }
+    if (subtree_below || candidates.size() < t) {
+      below.insert(std::move(mt.canon));
+      continue;
+    }
     FctEntry entry;
+    if (one_edge) {
+      // Every graph holding the edge label contains the one-edge tree.
+      entry.occurrences = std::move(candidates);
+    } else {
+      const std::string tree_code = GraphContentCode(mt.tree);
+      auto contains = [&](GraphId id) {
+        const Graph* g = db_after.Find(id);
+        if (g == nullptr) return false;
+        bool found = false;
+        if (cache.LookupContainment(tree_code, epoch, id, &found)) {
+          return found;
+        }
+        IsoOutcome out = ContainsSubgraphBudgeted(mt.tree, *g, budget);
+        // Budget-truncated "not found" means "not proven within budget",
+        // never "absent" — only exact verdicts are cacheable.
+        if (!out.truncated) {
+          cache.StoreContainment(tree_code, epoch, id, out.found);
+        }
+        return out.found;
+      };
+      entry.occurrences =
+          CountOccurrences(candidates, t, contains, budget, pool);
+      // Exhaustion latches and every probe it cut short returned "not
+      // found", so a count below t proves nothing once the budget is out:
+      // the tree keeps what it found (under-count only) and RecomputeFlags
+      // decides.
+      if (entry.occurrences.size() < t && !BudgetExhausted(budget)) {
+        below.insert(std::move(mt.canon));
+        continue;
+      }
+    }
     entry.tree = std::move(mt.tree);
     entry.canon = mt.canon;
-    std::vector<GraphId> ids(candidates.begin(), candidates.end());
-    std::vector<uint8_t> verdict(ids.size(), 0);
-    const std::string tree_code = GraphContentCode(entry.tree);
-    const uint64_t epoch = db_after.epoch();
-    ComputeCache& cache = ComputeCache::Global();
-    ParallelFor(
-        pool, ids.size(),
-        [&](size_t i) {
-          const Graph* g = db_after.Find(ids[i]);
-          if (g == nullptr) return;
-          bool contains = false;
-          if (!cache.LookupContainment(tree_code, epoch, ids[i], &contains)) {
-            IsoOutcome out = ContainsSubgraphBudgeted(entry.tree, *g, budget);
-            contains = out.found;
-            // Budget-truncated "not found" means "not proven within
-            // budget", never "absent" — only exact verdicts are cacheable.
-            if (!out.truncated) {
-              cache.StoreContainment(tree_code, epoch, ids[i], contains);
-            }
-          }
-          if (contains) verdict[i] = 1;
-        },
-        budget);
-    for (size_t i = 0; i < ids.size(); ++i) {
-      if (verdict[i] != 0) entry.occurrences.Insert(ids[i]);
-    }
     pool_.emplace(std::move(mt.canon), std::move(entry));
   }
 
-  db_size_ = db_after.size();
   RecomputeFlags();
 }
 

@@ -24,15 +24,23 @@ struct FctEntry {
 /// Maintained set of frequent closed trees with occurrence lists
 /// (Sections 4.1-4.2).
 ///
-/// The pool holds every tree whose support is at least sup_min/2 — the
+/// The pool holds every tree whose support is at least t = sup_min/2 — the
 /// paper's relaxed threshold (Lemma 4.5) — so that trees hovering below
 /// sup_min are not lost between batch updates. Each entry carries its exact
 /// occurrence id-set, which makes deletions pure bookkeeping (Δ⁻ clears
 /// bits; no isomorphism tests) and restricts Δ⁺ work to (a) probing pool
-/// trees against the new graphs only and (b) probing trees newly frequent
-/// *within the delta* against the full database. This realizes the closure
-/// property speedup of Lemma 3.4: trees already known closed never trigger a
-/// database rescan.
+/// trees against the new graphs only and (b) counting trees newly frequent
+/// *within the delta* over D ⊕ Δ only until their pool membership is
+/// decided. For (b), a one-edge tree's occurrences are its edge label's
+/// list; a k-edge tree is probed only in graphs holding all its edge labels
+/// and every (k-1)-edge subtree left by deleting a leaf, and is dropped
+/// without a probe once one of those subtrees is below t or fewer than t
+/// candidates remain. Support is antitone, so the candidates cover the true
+/// occurrences and only trees below t are dropped: the pool is exactly what
+/// a full-database scan of every delta tree would leave. This realizes the
+/// closure property speedup of Lemma 3.4: trees already known closed never
+/// trigger a database rescan, and new trees rescan only what can still
+/// reach the pool.
 ///
 /// Exact edge-label occurrence lists are maintained alongside, providing the
 /// frequent / infrequent edge universe used by the FCT-/IFE-indices and the
@@ -59,7 +67,7 @@ class FctSet {
   /// as absent), so supports only ever err low — the pool never keeps a
   /// tree on invented evidence. The missed counts are healed by the next
   /// unbudgeted round or RunFromScratch. `pool` parallelizes the per-entry
-  /// probes and the full-database scans of newly frequent delta trees.
+  /// probes and the candidate scans of newly frequent delta trees.
   void MaintainAdd(const GraphDatabase& db_after,
                    const std::vector<GraphId>& added_ids,
                    ExecBudget* budget = nullptr, TaskPool* pool = nullptr);

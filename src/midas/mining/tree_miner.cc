@@ -56,54 +56,37 @@ Graph EdgeTree(const EdgeLabelPair& lp) {
   return t;
 }
 
-// Counts occurrences of `tree` among the candidate graph ids, looking up
-// graphs through `by_id`. Aborts early when the remaining candidates cannot
-// reach `min_count` or the budget runs out. Only proven containments are
-// counted, so a budget-truncated result under-counts — it never inflates
-// support.
-IdSet CountOccurrences(
-    const Graph& tree, const IdSet& candidates,
-    const std::unordered_map<GraphId, const Graph*>& by_id,
-    size_t min_count, ExecBudget* budget, TaskPool* pool) {
+}  // namespace
+
+IdSet CountOccurrences(const IdSet& candidates, size_t min_count,
+                       const std::function<bool(GraphId)>& contains,
+                       ExecBudget* budget, TaskPool* pool) {
+  IdSet occ;
   if (pool == nullptr || pool->serial() || TaskPool::OnWorkerThread()) {
     // Serial reference path, with the cannot-reach-threshold early abort.
-    IdSet occ;
     size_t remaining = candidates.size();
     for (GraphId id : candidates) {
       if (occ.size() + remaining < min_count) break;
       if (BudgetExhausted(budget)) break;
       --remaining;
-      auto it = by_id.find(id);
-      if (it == by_id.end()) continue;
-      if (ContainsSubgraphBudgeted(tree, *it->second, budget).found) {
-        occ.Insert(id);
-      }
+      if (contains(id)) occ.Insert(id);
     }
     return occ;
   }
-  // Parallel path: probe every candidate (the early abort only ever fires
-  // for trees that end up rejected, so the full scan changes no accepted
-  // occurrence list), then merge verdicts in ascending-id order.
+  // Parallel path: probe every candidate, merge in ascending-id order.
   std::vector<GraphId> ids(candidates.begin(), candidates.end());
   std::vector<uint8_t> verdict(ids.size(), 0);
   ParallelFor(
       pool, ids.size(),
       [&](size_t i) {
-        auto it = by_id.find(ids[i]);
-        if (it == by_id.end()) return;
-        if (ContainsSubgraphBudgeted(tree, *it->second, budget).found) {
-          verdict[i] = 1;
-        }
+        if (contains(ids[i])) verdict[i] = 1;
       },
       budget);
-  IdSet occ;
   for (size_t i = 0; i < ids.size(); ++i) {
     if (verdict[i] != 0) occ.Insert(ids[i]);
   }
   return occ;
 }
-
-}  // namespace
 
 std::vector<MinedTree> MineFrequentTrees(const GraphView& view,
                                          const TreeMinerConfig& config) {
@@ -175,7 +158,12 @@ std::vector<MinedTree> MineFrequentTrees(const GraphView& view,
             ++support_pruned;
             continue;
           }
-          IdSet occ = CountOccurrences(ext, candidates, by_id, min_count,
+          auto contains = [&](GraphId id) {
+            auto it = by_id.find(id);
+            return it != by_id.end() &&
+                   ContainsSubgraphBudgeted(ext, *it->second, budget).found;
+          };
+          IdSet occ = CountOccurrences(candidates, min_count, contains,
                                        budget, config.pool);
           if (occ.size() < min_count) {
             ++support_pruned;

@@ -1,6 +1,7 @@
 #ifndef MIDAS_MINING_TREE_MINER_H_
 #define MIDAS_MINING_TREE_MINER_H_
 
+#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -69,9 +70,25 @@ struct TreeMinerConfig {
   TaskPool* pool = nullptr;
 };
 
-/// All frequent trees of the view (sizes 1..max_edges, in edges).
+/// All frequent trees of the view (sizes 1..max_edges, in edges). Trees come
+/// in level order: every k-edge tree precedes every (k+1)-edge tree.
 std::vector<MinedTree> MineFrequentTrees(const GraphView& view,
                                          const TreeMinerConfig& config);
+
+/// The VF2 support count shared by the miner and FCT maintenance: the
+/// candidates for which `contains` proves containment (a probe cut short by
+/// `budget` returns false). The serial path stops once the found plus the
+/// remaining candidates cannot reach `min_count`. The parallel path (a
+/// non-serial `pool`, called off its workers) probes every candidate and
+/// merges verdicts in ascending-id order; the early abort only ever fires
+/// for counts that end below `min_count`, so counts that reach it are
+/// identical at any thread count. Budget exhaustion stops the count where it
+/// stands: only proven containments are collected, so a budget-cut count
+/// under-counts — it never inflates support, and below `min_count` it
+/// proves nothing.
+IdSet CountOccurrences(const IdSet& candidates, size_t min_count,
+                       const std::function<bool(GraphId)>& contains,
+                       ExecBudget* budget, TaskPool* pool);
 
 /// Filters mined trees to *closed* trees: a frequent tree is closed iff no
 /// one-edge-larger frequent supertree has the same support (Section 3.3).

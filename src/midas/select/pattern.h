@@ -100,8 +100,11 @@ class PatternSet {
 /// Evaluates pattern coverage against a (lazily sampled) database universe,
 /// optionally accelerated by the FCT-/IFE-indices (Section 6.1).
 ///
-/// The paper computes scov over a sampled database D_s when D is large; the
-/// evaluator fixes the sample once so all comparisons are consistent.
+/// The paper computes scov over a sampled database D_s when D is large. The
+/// sample is fixed between Resample() calls, so comparisons within one
+/// round are consistent; Resample() draws a fresh uniform sample of all
+/// current ids, and the engine calls it every round, so above `sample_cap`
+/// the universe changes wholesale from round to round.
 class CoverageEvaluator {
  public:
   /// sample_cap = 0 disables sampling. Indices may be null (CATAPULT mode:

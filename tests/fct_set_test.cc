@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "midas/common/parallel.h"
+#include "midas/common/rng.h"
 #include "midas/datagen/molecule_gen.h"
 #include "midas/graph/subgraph_iso.h"
 #include "test_util.h"
@@ -148,6 +154,141 @@ TEST_P(FctMaintenanceEquivalenceTest, OneRoundEquivalence) {
 
 INSTANTIATE_TEST_SUITE_P(Random, FctMaintenanceEquivalenceTest,
                          ::testing::Range(0, 6));
+
+// Multi-round oracle for MaintainAdd's threshold-pruned delta count: a seeded
+// stream of insert/delete rounds, each checked against brute-force VF2 over
+// the whole database.
+struct PoolState {
+  IdSet occurrences;
+  bool frequent = false;
+  bool closed = false;
+  bool operator==(const PoolState&) const = default;
+};
+using PoolMap = std::map<std::string, PoolState>;
+
+PoolMap PoolOf(const FctSet& set) {
+  PoolMap pool;
+  for (const FctEntry* e : set.PoolEntries()) {
+    pool[e->canon] = {e->occurrences, e->frequent, e->closed};
+  }
+  return pool;
+}
+
+IdSet GraphsContaining(const Graph& tree, const GraphDatabase& db) {
+  IdSet occ;
+  for (const auto& [id, g] : db.graphs()) {
+    if (ContainsSubgraph(tree, g)) occ.Insert(id);
+  }
+  return occ;
+}
+
+size_t CountAt(double fraction, size_t db_size) {
+  return std::max<size_t>(
+      1, static_cast<size_t>(
+             std::ceil(fraction * static_cast<double>(db_size) - 1e-9)));
+}
+
+// True iff some one-edge leaf extension of `tree` is contained in every graph
+// of `occ` (its occurrence set can only shrink, so that means "equal").
+bool HasEqualSupportExtension(const Graph& tree, const IdSet& occ,
+                              const FctSet& set, const GraphDatabase& db) {
+  for (VertexId v = 0; v < tree.NumVertices(); ++v) {
+    const Label a = tree.label(v);
+    for (const auto& [lp, lp_occ] : set.edge_occurrences()) {
+      if (lp.first != a && lp.second != a) continue;
+      Graph ext = tree;
+      ext.AddEdge(v, ext.AddVertex(lp.first == a ? lp.second : lp.first));
+      bool everywhere = true;
+      for (GraphId id : occ) {
+        if (!ContainsSubgraph(ext, *db.Find(id))) {
+          everywhere = false;
+          break;
+        }
+      }
+      if (everywhere) return true;
+    }
+  }
+  return false;
+}
+
+// Runs the stream with a `threads`-wide task pool and returns the pool after
+// every round; with `check` set, verifies every round against the oracle.
+std::vector<PoolMap> RunOracleStream(int threads, bool check) {
+  constexpr double kSup = 0.4;
+  constexpr size_t kMaxEdges = 3;
+  constexpr int kRounds = 32;
+  MoleculeGenerator gen(20'260);
+  MoleculeGenConfig cfg = MoleculeGenerator::EmolLike(40);
+  GraphDatabase db = gen.Generate(cfg);
+  TaskPool pool(threads);
+  FctSet set = FctSet::Mine(db, Config(kSup, kMaxEdges), &pool);
+  Rng rng(7);
+  std::vector<PoolMap> history;
+  for (int round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    std::map<std::string, Graph> reachable;  // previous pool + delta trees
+    for (const FctEntry* e : set.PoolEntries()) {
+      reachable.emplace(e->canon, e->tree);
+    }
+
+    BatchUpdate deletions =
+        gen.GenerateDeletions(db, static_cast<size_t>(rng.UniformInt(0, 4)));
+    for (GraphId id : deletions.deletions) db.Remove(id);
+    set.MaintainDelete(deletions.deletions, db.size());
+    BatchUpdate additions = gen.GenerateAdditions(
+        db, cfg, static_cast<size_t>(rng.UniformInt(1, 8)),
+        /*new_family=*/rng.Bernoulli(0.4));
+    std::vector<GraphId> added = db.ApplyBatch(additions);
+    set.MaintainAdd(db, added, nullptr, &pool);
+    history.push_back(PoolOf(set));
+    if (!check) continue;
+
+    TreeMinerConfig miner;
+    miner.min_support = kSup / 2.0;
+    miner.max_edges = kMaxEdges;
+    for (MinedTree& mt : MineFrequentTrees(MakeView(db, added), miner)) {
+      reachable.emplace(mt.canon, std::move(mt.tree));
+    }
+    const size_t pool_count = CountAt(kSup / 2.0, db.size());
+    const size_t freq_count = CountAt(kSup, db.size());
+    std::set<std::string> present;
+    for (const FctEntry* e : set.PoolEntries()) {
+      present.insert(e->canon);
+      EXPECT_EQ(e->occurrences, GraphsContaining(e->tree, db)) << e->canon;
+      EXPECT_GE(e->occurrences.size(), pool_count) << e->canon;
+      EXPECT_EQ(reachable.count(e->canon), 1u)
+          << e->canon << " is neither an old pool tree nor a delta tree";
+      EXPECT_EQ(e->frequent, e->occurrences.size() >= freq_count) << e->canon;
+      bool closed = e->tree.NumEdges() >= kMaxEdges ||
+                    !HasEqualSupportExtension(e->tree, e->occurrences, set, db);
+      EXPECT_EQ(e->closed, closed) << e->canon;
+    }
+    for (const auto& [canon, tree] : reachable) {
+      if (GraphsContaining(tree, db).size() >= pool_count) {
+        EXPECT_EQ(present.count(canon), 1u) << canon << " is missing";
+      }
+    }
+    // The FCT set matches a from-scratch mine every round. The shadow pool
+    // need not: deletions that shrink the database can lift a tree outside
+    // the pool to t, and MaintainDelete admits nothing.
+    EXPECT_EQ(Snapshot(set),
+              Snapshot(FctSet::Mine(db, Config(kSup, kMaxEdges))));
+  }
+  return history;
+}
+
+TEST(FctMaintenanceOracleTest, SerialStreamMatchesOracle) {
+  RunOracleStream(1, /*check=*/true);
+}
+
+TEST(FctMaintenanceOracleTest, FourThreadStreamMatchesOracleAndSerial) {
+  std::vector<PoolMap> parallel = RunOracleStream(4, /*check=*/true);
+  std::vector<PoolMap> serial = RunOracleStream(1, /*check=*/false);
+  ASSERT_EQ(parallel.size(), serial.size());
+  for (size_t r = 0; r < serial.size(); ++r) {
+    EXPECT_TRUE(parallel[r] == serial[r]) << "pools differ after round " << r;
+  }
+}
 
 TEST(FctSetTest, MemoryReportingIsPositive) {
   GraphDatabase db = MakeToyDatabase();

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "midas/common/timer.h"
 #include "midas/obs/event_log.h"
@@ -24,6 +26,15 @@ void SpinFor(double ms) {
   Timer t;
   while (t.ElapsedMs() < ms) {
   }
+}
+
+// A paused gap far longer than the spun segments: a leaked gap adds at least
+// this much, while preempting a 1 ms segment on a loaded host does not come
+// close, so a pause-exclusion bound of kGapMs fails only on a real leak.
+constexpr int kGapMs = 50;
+
+void SleepGap() {
+  std::this_thread::sleep_for(std::chrono::milliseconds(kGapMs));
 }
 
 // --- Timer -----------------------------------------------------------------
@@ -50,13 +61,13 @@ TEST(TimerTest, ResumeAccumulatesAcrossSegments) {
   SpinFor(1.0);
   t.Pause();
   double first = t.ElapsedMs();
-  SpinFor(2.0);  // not counted
+  SleepGap();  // not counted
   t.Resume();
   SpinFor(1.0);
   t.Pause();
   double second = t.ElapsedMs();
   EXPECT_GE(second, first + 1.0);
-  EXPECT_LT(second, first + 3.0);  // the paused gap must not leak in
+  EXPECT_LT(second, first + kGapMs);  // the paused gap must not leak in
 }
 
 TEST(TimerTest, PauseAndResumeAreIdempotent) {
@@ -227,12 +238,12 @@ TEST(TraceSpanTest, PauseExcludesTheGap) {
     obs::TraceSpan span("midas_test_pause_ms", &acc);
     SpinFor(1.0);
     span.Pause();
-    SpinFor(3.0);
+    SleepGap();
     span.Resume();
     SpinFor(1.0);
   }
   EXPECT_GE(acc, 2.0);
-  EXPECT_LT(acc, 4.0);  // the 3 ms pause must not be counted
+  EXPECT_LT(acc, kGapMs);  // the paused gap must not be counted
 }
 
 TEST(TraceSpanTest, SpansNest) {

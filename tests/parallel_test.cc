@@ -63,6 +63,34 @@ TEST(TaskPoolTest, ParallelMapIsIndexOrdered) {
   }
 }
 
+// Overwrites the stack a returned ParallelFor used, so a late touch of its
+// batch meets garbage rather than a mutex that still looks valid.
+__attribute__((noinline)) void ScribbleStack() {
+  volatile unsigned char junk[1024];
+  for (size_t i = 0; i < sizeof(junk); ++i) junk[i] = 0xA5;
+}
+
+// A batch lives on the submitter's stack, so the last chunk's completion
+// signal must be its final touch of the batch. Narrow back-to-back batches
+// keep the workers hot, so the last chunk often finishes on a worker just as
+// the submitter looks for more work; a signal that lands after the submitter
+// returned aborts (a scribbled mutex) or hangs (a lost wakeup).
+TEST(TaskPoolTest, ManyShortBatchesOutliveNoWorker) {
+  TaskPool pool(4);
+  constexpr size_t kBatches = 100000;
+  constexpr size_t kWidth = 4;
+  std::atomic<size_t> count{0};
+  for (size_t b = 0; b < kBatches; ++b) {
+    pool.ParallelFor(kWidth, [&](size_t) {
+      volatile int sink = 0;
+      for (int k = 0; k < 300; ++k) sink = sink + k;
+      count.fetch_add(1, std::memory_order_relaxed);
+    });
+    ScribbleStack();
+  }
+  EXPECT_EQ(count.load(), kBatches * kWidth);
+}
+
 TEST(TaskPoolTest, EmptyRangeIsANoOp) {
   TaskPool pool(4);
   bool ran = false;
