@@ -64,9 +64,11 @@ class ComputeCache {
   ComputeCache& operator=(const ComputeCache&) = delete;
 
   /// GED memo. Symmetric: the two codes are ordered internally. `salt`
-  /// captures every auxiliary input of the estimator beyond the two graphs
-  /// (e.g. a digest of the feature trees that tighten the bound) — values
-  /// computed under different auxiliary state must not alias.
+  /// captures every input the stored value depends on beyond the two graphs,
+  /// so values computed under different auxiliary state never alias:
+  /// HybridGed salts a tightened bound with the digest of the feature trees
+  /// that tighten it, and an exact distance, which depends on the two graphs
+  /// alone, with one fixed salt that outlives FCT changes.
   bool LookupGed(uint64_t salt, const std::string& code_a,
                  const std::string& code_b, int* out);
   void StoreGed(uint64_t salt, const std::string& code_a,

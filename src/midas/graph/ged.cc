@@ -1,6 +1,7 @@
 #include "midas/graph/ged.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <map>
 #include <numeric>
@@ -38,10 +39,25 @@ GedMetrics* GetGedMetrics(obs::MetricsRegistry& reg) {
   return &metrics;
 }
 
-// DFS branch & bound over assignments of A-vertices to B-vertices (or
-// deletion). Edge costs are charged incrementally as both endpoints become
-// decided; B-side insertions for unmatched vertices/edges are added at the
-// leaves.
+// DFS branch & bound over assignments of A-vertices (highest degree first)
+// to B-vertices or deletion. Edge costs are charged as soon as both
+// endpoints are decided. A child is entered only while
+//
+//   cost + max(r_A, r_B) - |L(R_A) ∩ L(R_B)| + |e_A - e_B|  <  best
+//
+// where R_A is the set of undecided A-vertices, R_B the set of unused
+// B-vertices (r_A, r_B their sizes; the label intersection is a multiset),
+// e_A the A-edges with an undecided endpoint and e_B the B-edges with an
+// unused endpoint. The remainder is admissible: each vertex of R_A costs 0
+// only when matched to a same-label vertex of R_B and every unmatched
+// R_B vertex is an insertion, so the vertex edits left are at least
+// max(r_A, r_B) minus the label intersection; each edge preserved from here
+// on pairs one of the e_A edges with one of the e_B edges and every other
+// one is deleted or inserted, so the edge edits left are at least
+// |e_A - e_B|. At a leaf the remainder is exactly the insertions still owed
+// (r_B + e_B). The label counts, e_A and e_B are kept incrementally, and
+// B-adjacency is tested against per-search bitset rows (one word per 64
+// vertices), so a node costs O(|V_B| * words + deg).
 class GedSearch {
  public:
   GedSearch(const Graph& a, const Graph& b, int limit,
@@ -53,7 +69,8 @@ class GedSearch {
   bool truncated() const { return truncated_; }
 
   int Run() {
-    size_t na = a_.NumVertices();
+    const size_t na = a_.NumVertices();
+    const size_t nb = b_.NumVertices();
     order_.resize(na);
     std::iota(order_.begin(), order_.end(), 0);
     // High-degree vertices first: decides expensive edges early.
@@ -61,44 +78,92 @@ class GedSearch {
       return a_.Degree(x) > a_.Degree(y);
     });
     assign_.assign(na, kUnset);
-    used_.assign(b_.NumVertices(), false);
-    Extend(0, 0);
+
+    words_ = (nb + 63) / 64;
+    b_rows_.assign(nb * words_, 0);
+    for (VertexId v = 0; v < nb; ++v) {
+      uint64_t* row = b_rows_.data() + v * words_;
+      for (VertexId y : b_.Neighbors(v)) SetBit(row, y);
+    }
+    used_.assign(words_, 0);
+    images_.assign((na + 1) * words_, 0);
+
+    // Dense label ids over both graphs, and per-label counts of R_A / R_B.
+    std::vector<Label> labels;
+    for (VertexId u = 0; u < na; ++u) labels.push_back(a_.label(u));
+    for (VertexId v = 0; v < nb; ++v) labels.push_back(b_.label(v));
+    std::sort(labels.begin(), labels.end());
+    labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
+    auto dense = [&labels](Label l) {
+      return static_cast<uint32_t>(
+          std::lower_bound(labels.begin(), labels.end(), l) - labels.begin());
+    };
+    count_a_.assign(labels.size(), 0);
+    count_b_.assign(labels.size(), 0);
+    label_a_.resize(na);
+    label_b_.resize(nb);
+    for (VertexId u = 0; u < na; ++u) {
+      label_a_[u] = dense(a_.label(u));
+      ++count_a_[label_a_[u]];
+    }
+    for (VertexId v = 0; v < nb; ++v) {
+      label_b_[v] = dense(b_.label(v));
+      ++count_b_[label_b_[v]];
+    }
+    common_ = 0;
+    for (size_t l = 0; l < labels.size(); ++l) {
+      common_ += std::min(count_a_[l], count_b_[l]);
+    }
+    rem_a_ = static_cast<int>(na);
+    rem_b_ = static_cast<int>(nb);
+    open_a_ = static_cast<int>(a_.NumEdges());
+    open_b_ = static_cast<int>(b_.NumEdges());
+
+    if (Remainder() < best_) {
+      Extend(0, 0);
+    } else {
+      ++bound_prunes_;
+    }
     return best_;
   }
 
  private:
-  // Admissible remaining-cost bound: vertex count imbalance.
-  int RemainingBound(size_t depth, size_t used_count) const {
-    int rem_a = static_cast<int>(order_.size() - depth);
-    int rem_b = static_cast<int>(b_.NumVertices() - used_count);
-    return std::abs(rem_a - rem_b);
+  static void SetBit(uint64_t* bits, size_t i) {
+    bits[i / 64] |= uint64_t{1} << (i % 64);
+  }
+  static void ClearBit(uint64_t* bits, size_t i) {
+    bits[i / 64] &= ~(uint64_t{1} << (i % 64));
+  }
+  static bool TestBit(const uint64_t* bits, size_t i) {
+    return (bits[i / 64] >> (i % 64)) & 1;
   }
 
-  // Cost of deciding vertex u (mapped to v, or kDeleted) against all
-  // previously decided A-vertices.
-  int EdgeCost(VertexId u, int v, size_t depth) const {
-    int cost = 0;
-    for (size_t i = 0; i < depth; ++i) {
-      VertexId w = order_[i];
-      int x = assign_[w];
-      bool a_edge = a_.HasEdge(u, w);
-      if (v == kDeleted || x == kDeleted) {
-        if (a_edge) ++cost;  // incident A-edge must be deleted
-        continue;
-      }
-      bool b_edge = b_.HasEdge(static_cast<VertexId>(v),
-                               static_cast<VertexId>(x));
-      if (a_edge != b_edge) ++cost;  // delete or insert one edge
-    }
-    return cost;
+  // Admissible cost of completing the current partial assignment.
+  int Remainder() const {
+    return std::max(rem_a_, rem_b_) - common_ + std::abs(open_a_ - open_b_);
   }
 
+  // Moves one vertex of label l out of R_A (R_B), keeping the multiset
+  // intersection current; Return* undoes it.
+  void TakeA(uint32_t l) {
+    if (count_a_[l] <= count_b_[l]) --common_;
+    --count_a_[l];
+  }
+  void ReturnA(uint32_t l) {
+    ++count_a_[l];
+    if (count_a_[l] <= count_b_[l]) ++common_;
+  }
+  void TakeB(uint32_t l) {
+    if (count_b_[l] <= count_a_[l]) --common_;
+    --count_b_[l];
+  }
+  void ReturnB(uint32_t l) {
+    ++count_b_[l];
+    if (count_b_[l] <= count_a_[l]) ++common_;
+  }
+
+  // Enters a node whose cost + Remainder() the caller proved below best_.
   void Extend(size_t depth, int cost) {
-    if (truncated_) return;
-    if (cost + RemainingBound(depth, used_count_) >= best_) {
-      ++bound_prunes_;
-      return;
-    }
     // One budget step per node expanded — the same unit VF2 charges per
     // candidate assignment, so a shared round budget is kernel-comparable.
     if (!BudgetCharge(budget_)) {
@@ -107,50 +172,100 @@ class GedSearch {
     }
     ++nodes_expanded_;
     if (depth == order_.size()) {
-      Finish(cost);
+      best_ = std::min(best_, cost + Remainder());
       return;
     }
-    VertexId u = order_[depth];
-    for (VertexId v = 0; v < b_.NumVertices(); ++v) {
-      if (used_[v]) continue;
-      int step = (a_.label(u) != b_.label(v) ? 1 : 0) +
-                 EdgeCost(u, static_cast<int>(v), depth);
-      if (cost + step >= best_) continue;
-      assign_[u] = static_cast<int>(v);
-      used_[v] = true;
-      ++used_count_;
-      Extend(depth + 1, cost + step);
-      --used_count_;
-      used_[v] = false;
-      assign_[u] = kUnset;
-      if (truncated_) return;
+    const VertexId u = order_[depth];
+    // Images of u's matched decided neighbours; a neighbour decided as a
+    // deletion costs one edge deletion whatever u becomes.
+    uint64_t* image = images_.data() + depth * words_;
+    std::fill(image, image + words_, 0);
+    int decided_nbrs = 0;
+    int deleted_nbrs = 0;
+    for (VertexId w : a_.Neighbors(u)) {
+      const int x = assign_[w];
+      if (x == kUnset) continue;
+      ++decided_nbrs;
+      if (x == kDeleted) {
+        ++deleted_nbrs;
+      } else {
+        SetBit(image, static_cast<size_t>(x));
+      }
     }
-    // Delete u.
-    int step = 1 + EdgeCost(u, kDeleted, depth);
-    if (cost + step < best_) {
-      assign_[u] = kDeleted;
-      Extend(depth + 1, cost + step);
-      assign_[u] = kUnset;
-    }
-  }
+    const uint32_t lu = label_a_[u];
+    TakeA(lu);
+    --rem_a_;
+    open_a_ -= decided_nbrs;
 
-  void Finish(int cost) {
-    // Unmatched B vertices are insertions; B edges with an unmatched endpoint
-    // are insertions (edges between two matched B vertices were already
-    // charged when the second endpoint was decided).
-    int extra = static_cast<int>(b_.NumVertices() - used_count_);
-    for (const auto& [x, y] : b_.Edges()) {
-      if (!used_[x] || !used_[y]) ++extra;
+    for (VertexId v = 0; v < b_.NumVertices(); ++v) {
+      if (TestBit(used_.data(), v)) continue;
+      // B-edges from v to used vertices close now; each one not mirrored by
+      // an A-edge to its preimage is an insertion, and each A-edge to a
+      // matched neighbour not mirrored in B is a deletion.
+      const uint64_t* row = b_rows_.data() + v * words_;
+      int closed_b = 0;
+      int mismatched = 0;
+      for (size_t k = 0; k < words_; ++k) {
+        const uint64_t closing = row[k] & used_[k];
+        closed_b += std::popcount(closing);
+        mismatched += std::popcount(closing ^ image[k]);
+      }
+      const uint32_t lv = label_b_[v];
+      const int step = (lu != lv ? 1 : 0) + deleted_nbrs + mismatched;
+      const int common_after =
+          common_ - (count_b_[lv] <= count_a_[lv] ? 1 : 0);
+      const int remainder = std::max(rem_a_, rem_b_ - 1) - common_after +
+                            std::abs(open_a_ - (open_b_ - closed_b));
+      if (cost + step + remainder >= best_) {
+        ++bound_prunes_;
+        continue;
+      }
+      assign_[u] = static_cast<int>(v);
+      SetBit(used_.data(), v);
+      TakeB(lv);
+      --rem_b_;
+      open_b_ -= closed_b;
+      Extend(depth + 1, cost + step);
+      open_b_ += closed_b;
+      ++rem_b_;
+      ReturnB(lv);
+      ClearBit(used_.data(), v);
+      assign_[u] = kUnset;
+      if (truncated_) break;
     }
-    best_ = std::min(best_, cost + extra);
+    // Delete u: every edge to a decided neighbour goes with it.
+    if (!truncated_) {
+      const int step = 1 + decided_nbrs;
+      if (cost + step + Remainder() >= best_) {
+        ++bound_prunes_;
+      } else {
+        assign_[u] = kDeleted;
+        Extend(depth + 1, cost + step);
+        assign_[u] = kUnset;
+      }
+    }
+    open_a_ += decided_nbrs;
+    ++rem_a_;
+    ReturnA(lu);
   }
 
   const Graph& a_;
   const Graph& b_;
   std::vector<VertexId> order_;
   std::vector<int> assign_;
-  std::vector<bool> used_;
-  size_t used_count_ = 0;
+  size_t words_ = 0;               ///< 64-bit words per B-vertex bitset
+  std::vector<uint64_t> b_rows_;   ///< B adjacency, one bitset per vertex
+  std::vector<uint64_t> used_;     ///< B-vertices matched so far
+  std::vector<uint64_t> images_;   ///< per-depth scratch bitsets
+  std::vector<uint32_t> label_a_;  ///< dense label id per A-vertex
+  std::vector<uint32_t> label_b_;  ///< dense label id per B-vertex
+  std::vector<int> count_a_;       ///< per-label |R_A|
+  std::vector<int> count_b_;       ///< per-label |R_B|
+  int common_ = 0;                 ///< |L(R_A) ∩ L(R_B)|
+  int rem_a_ = 0;                  ///< r_A
+  int rem_b_ = 0;                  ///< r_B
+  int open_a_ = 0;                 ///< e_A
+  int open_b_ = 0;                 ///< e_B
   int best_;
   ExecBudget* budget_ = nullptr;  ///< non-owning; nullptr = unlimited
   bool truncated_ = false;

@@ -51,6 +51,12 @@ int ComputeRelaxedEdges(const Graph& a, const Graph& b,
 int GedTightLowerBoundWithFeatures(const Graph& a, const Graph& b,
                                    const std::vector<Graph>& features);
 
+/// Largest vertex count at which the diversity estimate is exact GED: pairs
+/// with both graphs at or below it take the branch & bound, larger pairs
+/// the tightened lower bound (EstimateGed's default, and the path HybridGed
+/// keys its memo by).
+inline constexpr size_t kGedExactMaxVertices = 8;
+
 /// Diversity-oriented GED estimate: exact branch & bound when both graphs
 /// have at most `exact_max_vertices` vertices, otherwise the tightened
 /// lower bound. When `budget` is non-null the exact branch is budgeted
@@ -59,7 +65,8 @@ int GedTightLowerBoundWithFeatures(const Graph& a, const Graph& b,
 /// look at most as diverse as they are.
 int EstimateGed(const Graph& a, const Graph& b,
                 const std::vector<Graph>& features,
-                size_t exact_max_vertices = 8, ExecBudget* budget = nullptr);
+                size_t exact_max_vertices = kGedExactMaxVertices,
+                ExecBudget* budget = nullptr);
 
 }  // namespace midas
 

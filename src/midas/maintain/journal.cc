@@ -86,7 +86,7 @@ bool UpdateJournal::Open(const std::string& path, std::string* error,
 void UpdateJournal::Close() { file_.reset(); }
 
 bool UpdateJournal::AppendRecord(char type, uint64_t seq,
-                                 const std::string& payload,
+                                 const std::string& payload, bool sync,
                                  std::string* error) {
   if (file_ == nullptr) {
     SetError(error, "journal is not open");
@@ -96,10 +96,11 @@ bool UpdateJournal::AppendRecord(char type, uint64_t seq,
   header << '@' << type << ' ' << seq << ' ' << payload.size() << ' '
          << Crc32Hex(Crc32(payload)) << '\n';
   std::string record = header.str() + payload + "\n";
-  // One write + one fsync per record: the record is durable before the
-  // caller proceeds, which is the whole point of a WAL.
+  // One write per record. A synced record is durable before the caller
+  // proceeds, which is the whole point of a WAL; an unsynced one becomes
+  // durable with the next synced record, since it precedes it in the file.
   if (!file_->Append(record, error)) return false;
-  if (!file_->Sync(error)) return false;
+  if (sync && !file_->Sync(error)) return false;
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Current();
   if (reg.enabled()) {
     reg.GetCounter(type == 'B'   ? "midas_journal_batch_appends_total"
@@ -119,7 +120,8 @@ bool UpdateJournal::AppendBatch(uint64_t seq, const BatchUpdate& batch,
     SetError(error, "injected I/O error (failpoint journal.append.io_error)");
     return false;
   }
-  return AppendRecord('B', seq, SerializeBatch(batch, dict), error);
+  return AppendRecord('B', seq, SerializeBatch(batch, dict), /*sync=*/true,
+                      error);
 }
 
 bool UpdateJournal::AppendLineage(uint64_t seq, const std::string& payload,
@@ -129,7 +131,10 @@ bool UpdateJournal::AppendLineage(uint64_t seq, const std::string& payload,
              "injected I/O error (failpoint journal.lineage.io_error)");
     return false;
   }
-  return AppendRecord('L', seq, payload, error);
+  // No fsync of its own: the @C record that follows syncs both. A crash
+  // that tears this record stops the scan at it, so the round reads as
+  // uncommitted, exactly as after a crash before the append.
+  return AppendRecord('L', seq, payload, /*sync=*/false, error);
 }
 
 bool UpdateJournal::AppendCommit(uint64_t seq, const PatternSet& panel,
@@ -141,7 +146,7 @@ bool UpdateJournal::AppendCommit(uint64_t seq, const PatternSet& panel,
   }
   std::ostringstream out;
   WritePatternSet(panel, dict, out);
-  return AppendRecord('C', seq, out.str(), error);
+  return AppendRecord('C', seq, out.str(), /*sync=*/true, error);
 }
 
 bool UpdateJournal::Reset(std::string* error) {

@@ -17,20 +17,24 @@ namespace midas {
 ///   1. Before any state mutation the engine appends one *batch* record —
 ///      the full ΔD (insertions as gspan text, deletion ids) plus the round
 ///      sequence number — and fsyncs it.
-///   2. After the round completes, the engine appends a *commit* record
-///      carrying the post-round pattern panel, and fsyncs again.
+///   2. After the round completes, the engine appends a *lineage* record
+///      (the round's provenance delta) and a *commit* record carrying the
+///      post-round pattern panel, and fsyncs once: the lineage record
+///      precedes the commit, so the commit's fsync makes both durable.
 ///
 /// A crash at any point therefore loses at most the in-flight round: on
-/// recovery, rounds with both records are replayed against the last
-/// snapshot (batch re-applied, committed panel reinstalled verbatim), and a
-/// trailing batch record without its commit is dropped as "in flight".
+/// recovery, rounds with batch and commit records are replayed against the
+/// last snapshot (batch re-applied, committed panel reinstalled verbatim),
+/// and a trailing batch record without its commit is dropped as "in
+/// flight".
 ///
 /// Record framing: `@<type> <seq> <payload-bytes> <crc32>\n<payload>\n`,
-/// type `B` (batch) or `C` (commit). The CRC covers the payload bytes, so a
-/// torn tail — short write of either the header or the payload — is
-/// detected and tolerated, while anything before it is trusted. The payload
-/// is plain text (gspan / pattern-set formats from graph_io.h and
-/// pattern_io.h) to keep journals greppable in incident response.
+/// type `B` (batch), `L` (lineage) or `C` (commit). The CRC covers the
+/// payload bytes, so a torn tail — short write of either the header or the
+/// payload — is detected and tolerated, while anything before it is
+/// trusted. The payload is plain text (gspan / pattern-set formats from
+/// graph_io.h and pattern_io.h) to keep journals greppable in incident
+/// response.
 class UpdateJournal {
  public:
   UpdateJournal() = default;
@@ -55,10 +59,12 @@ class UpdateJournal {
   bool AppendBatch(uint64_t seq, const BatchUpdate& batch,
                    const LabelDictionary& dict, std::string* error = nullptr);
 
-  /// Appends + fsyncs the lineage record (`@L`) for round `seq`, carrying
-  /// the round's provenance-ledger delta (obs/lineage.h serialization).
-  /// Written between the batch and commit records; a crash before the
-  /// commit drops the round — and with it the delta — atomically.
+  /// Appends the lineage record (`@L`) for round `seq`, carrying the
+  /// round's provenance-ledger delta (obs/lineage.h serialization), without
+  /// an fsync: the commit record that follows makes both durable. Written
+  /// between the batch and commit records; a crash before the commit's
+  /// fsync drops the round — and with it the delta — atomically, torn or
+  /// not (the scan stops at a torn record).
   bool AppendLineage(uint64_t seq, const std::string& payload,
                      std::string* error = nullptr);
 
@@ -74,7 +80,7 @@ class UpdateJournal {
 
  private:
   bool AppendRecord(char type, uint64_t seq, const std::string& payload,
-                    std::string* error);
+                    bool sync, std::string* error);
 
   std::unique_ptr<io::WritableFile> file_;
   io::FileSystem* fs_ = nullptr;

@@ -24,11 +24,20 @@ struct FctEntry {
 /// Maintained set of frequent closed trees with occurrence lists
 /// (Sections 4.1-4.2).
 ///
-/// The pool holds every tree whose support is at least t = sup_min/2 — the
+/// Pool contract. Every pool tree has support at least t = sup_min/2 — the
 /// paper's relaxed threshold (Lemma 4.5) — so that trees hovering below
-/// sup_min are not lost between batch updates. Each entry carries its exact
-/// occurrence id-set, which makes deletions pure bookkeeping (Δ⁻ clears
-/// bits; no isomorphism tests) and restricts Δ⁺ work to (a) probing pool
+/// sup_min are not lost between batch updates, and carries its exact
+/// occurrence id-set. Mine fills the pool with every tree (within
+/// max_edges / max_trees) whose support reaches t, and MaintainAdd keeps
+/// such a complete pool complete. MaintainDelete is pure bookkeeping (Δ⁻
+/// clears bits; no isomorphism tests): it drops trees that fall below t
+/// and admits none, so a tree whose support reaches t only because
+/// deletions shrank |D| is absent, though Mine on the same database holds
+/// it, until an insertion batch holds it at sup_min/2 within the delta
+/// (MaintainAdd then counts it over D ⊕ Δ) or the pool is re-mined.
+/// The FCT set F differs from Mine's only if such a tree also reaches
+/// sup_min = 2t, which deletions alone do only by removing about half of
+/// the database. Occurrence id-sets restrict Δ⁺ work to (a) probing pool
 /// trees against the new graphs only and (b) counting trees newly frequent
 /// *within the delta* over D ⊕ Δ only until their pool membership is
 /// decided. For (b), a one-edge tree's occurrences are its edge label's
@@ -73,7 +82,8 @@ class FctSet {
                    ExecBudget* budget = nullptr, TaskPool* pool = nullptr);
 
   /// Incorporates a batch of deletions (ids already removed from the db).
-  /// Pure occurrence-list bookkeeping — no search, hence no budget.
+  /// Pure occurrence-list bookkeeping — no search, hence no budget — that
+  /// drops trees below t and admits none (see the pool contract above).
   void MaintainDelete(const std::vector<GraphId>& removed_ids,
                       size_t db_size_after);
 

@@ -257,12 +257,22 @@ uint64_t GedFeatureDigest(const std::vector<Graph>& feature_trees) {
   return digest;
 }
 
+namespace {
+
+// Memo salt of HybridGed's exact values. A pair's two vertex counts decide
+// whether it takes the exact path, so exact and tightened-bound entries
+// never share a key, even should a feature digest equal this value.
+constexpr uint64_t kExactGedSalt = 0;
+
+}  // namespace
+
 GedEstimator HybridGed(std::vector<Graph> feature_trees, ExecBudget* budget) {
   auto features = std::make_shared<std::vector<Graph>>(
       std::move(feature_trees));
-  // The refinement's value depends on the feature trees (they tighten the
-  // lower bound), so the memo key carries their digest — entries from a
-  // different FCT generation can never alias.
+  // Only the tightened-bound refinement reads the feature trees, so only its
+  // memo entries carry their digest: entries from a different FCT
+  // generation can never alias. Exact GED depends on the two graphs alone
+  // and is keyed under kExactGedSalt, so it survives FCT changes.
   const uint64_t feature_digest = GedFeatureDigest(*features);
   return [features, budget, feature_digest](const Graph& a, const Graph& b) {
     int cheap = GedLowerBound(a, b);
@@ -278,13 +288,16 @@ GedEstimator HybridGed(std::vector<Graph> feature_trees, ExecBudget* budget) {
     ComputeCache& cache = ComputeCache::Global();
     std::string code_a = GraphContentCode(a);
     std::string code_b = GraphContentCode(b);
+    const bool exact = a.NumVertices() <= kGedExactMaxVertices &&
+                       b.NumVertices() <= kGedExactMaxVertices;
+    const uint64_t salt = exact ? kExactGedSalt : feature_digest;
     int refined = 0;
-    if (!cache.LookupGed(feature_digest, code_a, code_b, &refined)) {
-      refined = EstimateGed(a, b, *features, 8, budget);
+    if (!cache.LookupGed(salt, code_a, code_b, &refined)) {
+      refined = EstimateGed(a, b, *features, kGedExactMaxVertices, budget);
       // A budget that tripped mid-search leaves `refined` truncated — only
       // exact outcomes may enter the cache.
       if (!BudgetExhausted(budget)) {
-        cache.StoreGed(feature_digest, code_a, code_b, refined);
+        cache.StoreGed(salt, code_a, code_b, refined);
       }
     }
     return static_cast<double>(std::max(cheap, refined));

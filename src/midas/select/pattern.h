@@ -197,9 +197,10 @@ GedEstimator HybridGed(std::vector<Graph> feature_trees,
                        ExecBudget* budget = nullptr);
 
 /// FNV-1a digest of the feature trees that parameterize HybridGed — the
-/// cache-validity key of both the ComputeCache GED memo and the pairwise
-/// distance view: distances estimated under a different FCT generation can
-/// never alias.
+/// cache-validity key of the ComputeCache's tightened-bound GED entries and
+/// of the pairwise distance view: distances estimated under a different FCT
+/// generation can never alias. (Exact GED entries do not depend on the
+/// features and are keyed without it.)
 uint64_t GedFeatureDigest(const std::vector<Graph>& feature_trees);
 
 /// Recomputes div (min pairwise distance under `ged`) and score for every

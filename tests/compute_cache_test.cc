@@ -5,7 +5,11 @@
 #include <string>
 #include <utility>
 
+#include "midas/graph/ged.h"
 #include "midas/graph/graph_database.h"
+#include "midas/index/pf_matrix.h"
+#include "midas/obs/metrics.h"
+#include "midas/select/pattern.h"
 #include "test_util.h"
 
 namespace midas {
@@ -69,6 +73,54 @@ TEST(ComputeCacheTest, GedSaltSeparatesEstimatorGenerations) {
   EXPECT_EQ(out, 2);
   ASSERT_TRUE(cache.LookupGed(8, ca, cb, &out));
   EXPECT_EQ(out, 5);
+}
+
+// HybridGed keys exact distances without the feature digest: a new FCT
+// generation reuses them, while its tightened bounds are recomputed.
+TEST(ComputeCacheTest, ExactGedEntriesSurviveFeatureDigestChanges) {
+  LabelDictionary d;
+  std::vector<Graph> old_features = {Path(d, {"C", "O"})};
+  std::vector<Graph> new_features = {Path(d, {"C", "O"}), Path(d, {"C", "C"})};
+  ASSERT_NE(GedFeatureDigest(old_features), GedFeatureDigest(new_features));
+  GedEstimator first = HybridGed(old_features);
+  GedEstimator second = HybridGed(new_features);
+
+  // Near-ties (GED_l <= 1) at and just above the exact-vertex threshold.
+  std::vector<std::string> labels(kGedExactMaxVertices, "C");
+  Graph small_a = Path(d, labels);
+  labels.back() = "O";
+  Graph small_b = Path(d, labels);
+  labels.assign(kGedExactMaxVertices + 1, "C");
+  Graph big_a = Path(d, labels);
+  labels.back() = "O";
+  Graph big_b = Path(d, labels);
+  ASSERT_LE(GedLowerBound(small_a, small_b), 1);
+  ASSERT_LE(GedLowerBound(big_a, big_b), 1);
+
+  obs::MetricsRegistry reg;
+  obs::ScopedMetricsRegistry scope(reg);
+  auto exact_calls = [&reg] {
+    return reg.GetCounter("midas_graph_ged_exact_calls_total")->Value();
+  };
+  ComputeCache& cache = ComputeCache::Global();
+  cache.Clear();
+
+  const double small_ged = first(small_a, small_b);
+  first(big_a, big_b);
+  EXPECT_EQ(exact_calls(), 1u);  // only the small pair is solved exactly
+
+  const ComputeCache::Stats before = cache.stats();
+  EXPECT_EQ(second(small_a, small_b), small_ged);
+  const ComputeCache::Stats after_small = cache.stats();
+  EXPECT_EQ(after_small.hits, before.hits + 1);
+  EXPECT_EQ(after_small.misses, before.misses);
+  EXPECT_EQ(exact_calls(), 1u);  // served from the first estimator's entry
+
+  second(big_a, big_b);
+  const ComputeCache::Stats after_big = cache.stats();
+  EXPECT_EQ(after_big.misses, after_small.misses + 1);  // new digest: recompute
+  EXPECT_EQ(after_big.hits, after_small.hits);
+  EXPECT_EQ(exact_calls(), 1u);
 }
 
 TEST(ComputeCacheTest, ContainmentKeyedByEpochAndId) {

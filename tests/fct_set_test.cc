@@ -110,6 +110,43 @@ TEST(FctSetTest, MaintainDeleteMatchesScratch) {
   EXPECT_EQ(Snapshot(maintained), Snapshot(scratch));
 }
 
+// Pool contract: MaintainDelete erases occurrences and admits no tree. A
+// tree whose support reaches t = sup_min/2 only because deletions shrank
+// |D| is missing from the maintained pool though a fresh Mine holds it; the
+// FCT set is unaffected.
+TEST(FctSetTest, DeletionsThatLowerThePoolThresholdAdmitNoTree) {
+  GraphDatabase db;
+  LabelDictionary& d = db.labels();
+  std::vector<GraphId> backbone;
+  for (int i = 0; i < 16; ++i) {
+    backbone.push_back(db.Insert(testing_util::Path(d, {"C", "O", "C"})));
+  }
+  for (int i = 0; i < 4; ++i) db.Insert(testing_util::Path(d, {"N", "S"}));
+  const Graph rare = testing_util::Path(d, {"N", "S"});
+  auto holds_rare = [&rare](const FctSet& set) {
+    for (const FctEntry* e : set.PoolEntries()) {
+      if (AreIsomorphic(e->tree, rare)) return true;
+    }
+    return false;
+  };
+
+  // |D| = 20: t = 5, so the N-S tree (support 4) is outside the pool.
+  FctSet maintained = FctSet::Mine(db, Config(0.5, 3));
+  EXPECT_FALSE(holds_rare(maintained));
+
+  // Delete 5 graphs without it: |D| = 15, t = 4, and its support is 4.
+  std::vector<GraphId> removed(backbone.begin(), backbone.begin() + 5);
+  for (GraphId id : removed) db.Remove(id);
+  maintained.MaintainDelete(removed, db.size());
+  FctSet scratch = FctSet::Mine(db, Config(0.5, 3));
+
+  EXPECT_FALSE(holds_rare(maintained));
+  EXPECT_TRUE(holds_rare(scratch));
+  EXPECT_LT(maintained.PoolEntries().size(), scratch.PoolEntries().size());
+  EXPECT_FALSE(Snapshot(maintained).empty());
+  EXPECT_EQ(Snapshot(maintained), Snapshot(scratch));
+}
+
 TEST(FctSetTest, MaintainEdgeOccurrences) {
   GraphDatabase db = MakeToyDatabase();
   FctSet set = FctSet::Mine(db, Config(0.5, 3));

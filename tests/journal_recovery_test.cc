@@ -8,10 +8,12 @@
 #include <string>
 
 #include "midas/common/failpoint.h"
+#include "midas/common/io.h"
 #include "midas/datagen/molecule_gen.h"
 #include "midas/graph/graph_io.h"
 #include "midas/graph/subgraph_iso.h"
 #include "midas/maintain/snapshot.h"
+#include "midas/maintain/verify.h"
 #include "midas/obs/metrics.h"
 
 namespace midas {
@@ -307,6 +309,41 @@ TEST(JournalTest, CommitAppendFailureIsCountedNotFatal) {
             1u);
 }
 
+// A committed round makes two fsyncs: @B's, and @C's, which also makes the
+// @L record before it durable.
+TEST(JournalTest, CommittedRoundSyncsBatchAndCommitOnly) {
+  if (!fail::CompiledIn()) GTEST_SKIP() << "failpoints compiled out";
+  TempDir dir("midas_journal_syncs");
+  io::FaultyFileSystem ffs;
+  MoleculeGenerator gen(782);
+  MoleculeGenConfig data = MoleculeGenerator::EmolLike(20);
+  auto engine = MakeEngine(gen, data);
+
+  const std::string path = dir.path + "/j.log";
+  UpdateJournal journal;
+  std::string error;
+  ASSERT_TRUE(journal.Open(path, &error, &ffs)) << error;
+  engine->SetJournal(&journal);
+
+  // Armed with zero fires the site never fails; it only counts the syncs.
+  fail::Arm("io.sync.error", 0, 0);
+  engine->ApplyUpdate(MakeBatch(gen, data, *engine, 5, false));
+  EXPECT_EQ(fail::HitCount("io.sync.error"), 2);
+  fail::DisarmAll();
+  journal.Close();
+
+  // Durable as a unit: after a power cut the round reads back committed
+  // with its lineage delta.
+  ffs.SimulateCrash();
+  LabelDictionary dict;
+  JournalReadResult read = ReadJournal(path, dict, &ffs);
+  ASSERT_TRUE(read.ok) << read.error;
+  EXPECT_FALSE(read.tail_truncated);
+  ASSERT_EQ(read.rounds.size(), 1u);
+  EXPECT_TRUE(read.rounds[0].committed);
+  EXPECT_FALSE(read.rounds[0].lineage_delta.empty());
+}
+
 // --- Crash-recovery matrix ---------------------------------------------------
 
 // Kill the engine at every phase boundary of ApplyUpdate; recovery must
@@ -372,6 +409,60 @@ TEST(CrashRecoveryTest, AbortAtEveryPhaseRecoversLastCommittedRound) {
     recovered->ApplyUpdate(d3);
     EXPECT_EQ(recovered->db().size(), committed_db_size + 3);
   }
+}
+
+// A power cut after the @L append and before @C's fsync loses the unsynced
+// @L with the round: recovery returns to the previous committed round, as
+// after a crash before @L was written, and the state passes deep fsck.
+TEST(CrashRecoveryTest, CrashBetweenLineageAndCommitDropsTheRound) {
+  if (!fail::CompiledIn()) GTEST_SKIP() << "failpoints compiled out";
+  TempDir edir("midas_crash_lineage_commit");
+  io::FaultyFileSystem ffs;
+  MoleculeGenerator gen(904);
+  MoleculeGenConfig data = MoleculeGenerator::EmolLike(25);
+  auto engine = MakeEngine(gen, data);
+
+  const std::string path = edir.path + "/journal.log";
+  UpdateJournal journal;
+  std::string error;
+  ASSERT_TRUE(journal.Open(path, &error, &ffs)) << error;
+  engine->SetJournal(&journal);
+  ASSERT_TRUE(SaveCheckpoint(*engine, edir.path, &error, &ffs)) << error;
+
+  engine->ApplyUpdate(MakeBatch(gen, data, *engine, 8, true));
+  const size_t committed_db_size = engine->db().size();
+  PatternSet committed_panel = engine->patterns();
+
+  // Round 2 appends @B (synced) and @L; the commit append then fails
+  // before writing a byte, and the crash finds @L past the last fsync.
+  fail::Arm("journal.commit.io_error");
+  engine->ApplyUpdate(MakeBatch(gen, data, *engine, 10, true));
+  fail::DisarmAll();
+  journal.Close();
+  ffs.SimulateCrash();
+
+  std::string text;
+  ASSERT_EQ(ffs.Read(path, &text, &error), io::ReadStatus::kOk) << error;
+  EXPECT_NE(text.find("@B 2 "), std::string::npos);
+  EXPECT_EQ(text.find("@L 2 "), std::string::npos);
+
+  RecoverInfo info;
+  std::unique_ptr<MidasEngine> recovered =
+      RecoverEngine(edir.path, &info, &ffs);
+  ASSERT_NE(recovered, nullptr) << info.error;
+  EXPECT_EQ(info.replayed, 1u);
+  EXPECT_EQ(info.dropped_inflight, 1u);
+  EXPECT_FALSE(info.tail_truncated);
+  EXPECT_EQ(recovered->round_seq(), 1u);
+  EXPECT_EQ(recovered->db().size(), committed_db_size);
+  ExpectSamePanel(committed_panel, engine->labels(), recovered->patterns(),
+                  recovered->labels());
+
+  VerifyOptions deep;
+  deep.level = IntegrityTier::kDeep;
+  IntegrityReport report;
+  VerifyEngineDeep(*recovered, deep, &report);
+  EXPECT_TRUE(report.clean()) << report.Describe();
 }
 
 TEST(CrashRecoveryTest, RecoveryWithoutCrashIsIdempotent) {
