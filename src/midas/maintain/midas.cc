@@ -128,7 +128,7 @@ MidasEngine::MidasEngine(GraphDatabase db, const MidasConfig& config)
 
 MidasEngine::~MidasEngine() = default;
 
-void MidasEngine::Initialize() {
+void MidasEngine::DeriveState() {
   census_ = GraphletCensus(db_, pool_.get());
   fcts_ = FctSet::Mine(db_, config_.fct, pool_.get());
   clusters_ = ClusterSet::Build(db_, fcts_, config_.cluster, rng_,
@@ -136,6 +136,7 @@ void MidasEngine::Initialize() {
   RebuildCsgsFromClusters();
   fct_index_ = FctIndex::Build(db_, fcts_);
   ife_index_ = IfeIndex::Build(db_, fcts_);
+  indexed_patterns_.clear();
   {
     std::vector<Graph> trees = GedFeatureTrees(fcts_);
     ged_digest_ = GedFeatureDigest(trees);
@@ -144,7 +145,12 @@ void MidasEngine::Initialize() {
   eval_ = std::make_unique<CoverageEvaluator>(db_, config_.sample_cap, rng_,
                                               &fct_index_, &ife_index_);
   eval_->set_pool(pool_.get());
+  small_panel_ = SmallPatternPanel(config_.small_panel);
+  small_panel_.Refresh(fcts_);
+}
 
+void MidasEngine::Initialize() {
+  DeriveState();
   CatapultConfig select;
   select.budget = config_.budget;
   select.walk = config_.walk;
@@ -159,16 +165,17 @@ void MidasEngine::Initialize() {
   // against eval_'s universe — the views stay invalid and round 1 rescans,
   // which also seeds the cost model's rescan EWMA.
   views_.Invalidate();
-  small_panel_ = SmallPatternPanel(config_.small_panel);
-  small_panel_.Refresh(fcts_);
-  // Ledger births for the initial selection (seq 0). Suppressed during
-  // recovery: the restored ledger already carries these patterns' history.
-  if (!lineage_replay_) {
-    ledger_.Clear();
-    for (const auto& [pid, p] : patterns_.patterns()) {
-      ledger_.RecordInitial(pid, p.scov, p.lcov, p.div, p.cog, p.score);
-    }
+  // Ledger births for the initial selection (seq 0).
+  ledger_.Clear();
+  for (const auto& [pid, p] : patterns_.patterns()) {
+    ledger_.RecordInitial(pid, p.scov, p.lcov, p.div, p.cog, p.score);
   }
+  initialized_ = true;
+}
+
+void MidasEngine::Initialize(PatternSet panel) {
+  DeriveState();
+  LoadPatterns(std::move(panel));
   initialized_ = true;
 }
 
@@ -184,10 +191,10 @@ void MidasEngine::RestoreRoundSeq(uint64_t seq) {
 
 void MidasEngine::LoadPatterns(PatternSet set) {
   // A loaded panel replaces the current one wholesale, and its pattern ids
-  // mean different graphs than the ids already registered (restore loads a
-  // snapshot panel over the one Initialize just selected — the id spaces
-  // collide). SyncPatternColumns dedups by id, so stale columns must be
-  // dropped explicitly or they silently keep the old panel's counts.
+  // may mean different graphs than the ids already registered (recovery
+  // installs the last journaled panel over the one replay left — the id
+  // spaces collide). SyncPatternColumns dedups by id, so stale columns must
+  // be dropped explicitly or they silently keep the old panel's counts.
   for (PatternId pid : indexed_patterns_) {
     fct_index_.RemovePattern(pid);
     ife_index_.RemovePattern(pid);
@@ -205,8 +212,9 @@ void MidasEngine::LoadPatterns(PatternSet set) {
   }
   // Square the ledger with the externally installed panel: synthesizes
   // kRestored/kRemoved events for ids the ledger did not know about. A
-  // no-op when the panel's history was restored verbatim (recovery applies
-  // journaled deltas under lineage_replay_ and reconciles afterwards).
+  // no-op when the panel's history was restored verbatim (a snapshot's
+  // ledger; recovery applies journaled deltas under lineage_replay_ and
+  // reconciles afterwards).
   if (!lineage_replay_) {
     ledger_.Reconcile(patterns_, round_seq_);
   }
@@ -235,32 +243,10 @@ void MidasEngine::RebuildDerivedState() {
     Initialize();
     return;
   }
-  // Initialize()'s derivation pipeline minus pattern selection: every view
-  // is a pure function of the base database (plus the rng for cluster
-  // seeding), so a corrupted census/index/bitset is simply recomputed. The
-  // panel survives; LoadPatterns re-registers its index columns and
-  // refreshes its metrics against the fresh structures.
-  census_ = GraphletCensus(db_, pool_.get());
-  fcts_ = FctSet::Mine(db_, config_.fct, pool_.get());
-  clusters_ =
-      ClusterSet::Build(db_, fcts_, config_.cluster, rng_, pool_.get());
-  RebuildCsgsFromClusters();
-  fct_index_ = FctIndex::Build(db_, fcts_);
-  ife_index_ = IfeIndex::Build(db_, fcts_);
-  {
-    std::vector<Graph> trees = GedFeatureTrees(fcts_);
-    ged_digest_ = GedFeatureDigest(trees);
-    ged_ = HybridGed(std::move(trees), &round_budget_);
-  }
-  eval_ = std::make_unique<CoverageEvaluator>(db_, config_.sample_cap, rng_,
-                                              &fct_index_, &ife_index_);
-  eval_->set_pool(pool_.get());
-  // The rebuilt indices start with no pattern columns; forget the stale
-  // registrations so SyncPatternColumns re-adds every panel pattern.
-  indexed_patterns_.clear();
-  LoadPatterns(std::move(patterns_));
-  small_panel_ = SmallPatternPanel(config_.small_panel);
-  small_panel_.Refresh(fcts_);
+  // Every derived structure is a function of the base database (plus the
+  // rng for cluster seeding), so a corrupted census/index/bitset is simply
+  // recomputed; the panel survives with fresh metrics and index columns.
+  Initialize(std::move(patterns_));
 }
 
 void MidasEngine::RefreshAllPatternMetrics() {

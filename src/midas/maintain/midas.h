@@ -247,6 +247,12 @@ class MidasEngine {
   /// pattern set (CATAPULT++ selection). Must be called once before
   /// ApplyUpdate.
   void Initialize();
+  /// Same derivation as Initialize(), but installs `panel` (via
+  /// LoadPatterns) instead of selecting one: snapshot restore, the CLI's
+  /// saved-panel commands and RebuildDerivedState. The ledger is kept and
+  /// reconciled with `panel` at round_seq(), so a restore deserializes its
+  /// ledger and sets the round counter before calling this.
+  void Initialize(PatternSet panel);
 
   /// Applies a batch update ΔD and maintains everything per Algorithm 1.
   MaintenanceStats ApplyUpdate(const BatchUpdate& delta,
@@ -291,7 +297,7 @@ class MidasEngine {
 
   /// Suppresses live lineage recording while recovery replays journaled
   /// rounds (the journaled `@L` deltas are applied verbatim instead, so
-  /// replay cannot double-count). Snapshot restore uses it too.
+  /// replay cannot double-count).
   void SetLineageReplay(bool on) { lineage_replay_ = on; }
   bool lineage_replay() const { return lineage_replay_; }
 
@@ -339,17 +345,17 @@ class MidasEngine {
   /// never lowers it).
   void RestoreRoundSeq(uint64_t seq);
 
-  /// Replaces the canned pattern set (e.g., a panel restored from disk via
-  /// pattern_io.h). Metrics are recomputed against the current database and
-  /// the pattern columns of both indices are re-registered. Requires
-  /// Initialize() to have run.
+  /// Replaces the canned pattern set on the current derived state (recovery
+  /// installs a journaled round's panel this way). Metrics are recomputed
+  /// against the current database and the pattern columns of both indices
+  /// are re-registered. Requires the derived state of an Initialize call.
   void LoadPatterns(PatternSet set);
 
-  /// Re-derives every maintained view (graphlet census, FCT pool, clusters,
-  /// CSGs, FCT-/IFE-indices, coverage evaluator) from the current base
-  /// database, then re-registers the existing panel and refreshes its
-  /// metrics against the fresh structures. The panel itself is kept — this
-  /// is the integrity scrubber's cheapest repair rung for derived-state
+  /// Initialize(patterns()): re-derives every derived structure (graphlet
+  /// census, FCT pool, clusters, CSGs, FCT-/IFE-indices, coverage
+  /// evaluator) from the current base database and reinstalls the existing
+  /// panel with fresh metrics. The panel itself is kept — this is the
+  /// integrity scrubber's cheapest repair rung for derived-state
   /// corruption, not a reselection. Falls back to Initialize() when the
   /// engine was never initialized.
   void RebuildDerivedState();
@@ -384,6 +390,11 @@ class MidasEngine {
   PatternQuality CurrentQuality() const;
 
  private:
+  /// Everything Initialize derives from the database and config before a
+  /// panel exists: census, FCT pool, clusters (rng_), CSGs, indices without
+  /// pattern columns, GED estimator, coverage evaluator (rng_ above
+  /// sample_cap) and the small panel.
+  void DeriveState();
   /// Rebuilds CSGs whose member set diverged from their cluster (splits) and
   /// drops CSGs of deleted clusters; incremental Add/Remove handles the rest.
   void ReconcileCsgs();

@@ -1,7 +1,10 @@
 #include "midas/maintain/snapshot.h"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <type_traits>
 #include <utility>
 
 #include "midas/common/checksum.h"
@@ -167,23 +170,19 @@ std::unique_ptr<MidasEngine> RestoreFromDir(io::FileSystem& fs,
   db.RestoreNextId(manifest.next_graph_id);
 
   auto engine = std::make_unique<MidasEngine>(std::move(db), config);
-  // Replay mode while the pieces land: Initialize must not ledger the
-  // throwaway selection, and LoadPatterns must not reconcile before the
-  // saved ledger is in place.
-  engine->SetLineageReplay(true);
-  engine->Initialize();
+  PatternSet panel;
   {
     std::istringstream in(pat_text);
-    PatternSet panel;
     // Preserve the saved pattern ids — they key the provenance ledger.
     if (!ReadPatternSet(in, engine->labels(), &panel, /*preserve_ids=*/true)) {
       SetError(error, dir + "/patterns.gspan: malformed pattern set");
       return nullptr;
     }
-    engine->LoadPatterns(std::move(panel));
   }
+  // The round counter and the saved ledger land before the panel, so that
+  // installing it reconciles against its own history: a no-op when the
+  // ledger covers the panel, kRestored births for a legacy snapshot.
   engine->RestoreRoundSeq(manifest.snapshot_seq);
-  engine->RestorePatternIds(manifest.next_pattern_id);
   // lineage.ledger is absent from pre-lineage snapshots; its manifest entry
   // gates the read (ReadChecked refuses files without a checksum).
   if (manifest.file_crc.count("lineage.ledger") != 0) {
@@ -199,48 +198,83 @@ std::unique_ptr<MidasEngine> RestoreFromDir(io::FileSystem& fs,
       return nullptr;
     }
   }
-  engine->SetLineageReplay(false);
-  // Safety net for legacy snapshots (no lineage.ledger): synthesizes
-  // kRestored births so every live pattern answers /lineage/<id>. A no-op
-  // when the saved ledger already covers the panel.
-  engine->lineage_mutable()->Reconcile(engine->patterns(),
-                                       engine->round_seq());
+  // Derived state is re-derived from the database and config; the saved
+  // panel is installed as it is, never reselected.
+  engine->Initialize(std::move(panel));
+  engine->RestorePatternIds(manifest.next_pattern_id);
   return engine;
+}
+
+// The one list of persisted MidasConfig fields: WriteConfig and ReadConfig
+// both walk it, so no field is written without being read back. Not
+// persisted: the runtime knobs a host sets per process (shed mode,
+// num_threads, incremental_views) and the non-owning pointers.
+template <typename Config, typename Visit>
+void VisitConfigFields(Config& c, Visit&& visit) {
+  visit("fct.sup_min", c.fct.sup_min);
+  visit("fct.max_edges", c.fct.max_edges);
+  visit("fct.max_trees", c.fct.max_trees);
+  visit("cluster.num_coarse", c.cluster.num_coarse);
+  visit("cluster.max_cluster_size", c.cluster.max_cluster_size);
+  visit("cluster.kmeans_iterations", c.cluster.kmeans_iterations);
+  visit("cluster.mccs_restarts", c.cluster.mccs_restarts);
+  visit("budget.eta_min", c.budget.eta_min);
+  visit("budget.eta_max", c.budget.eta_max);
+  visit("budget.gamma", c.budget.gamma);
+  visit("walk.num_walks", c.walk.num_walks);
+  visit("walk.walk_length", c.walk.walk_length);
+  visit("epsilon", c.epsilon);
+  visit("distance_measure", c.distance_measure);
+  visit("kappa", c.kappa);
+  visit("lambda", c.lambda);
+  visit("swap.ks_alpha", c.swap.ks_alpha);
+  visit("swap.max_scans", c.swap.max_scans);
+  visit("swap.use_swap_alpha_schedule", c.swap.use_swap_alpha_schedule);
+  visit("swap.sigma0", c.swap.sigma0);
+  visit("swap.log_boost", c.swap.log_boost);
+  visit("sample_cap", c.sample_cap);
+  visit("pcp_starts", c.pcp_starts);
+  visit("max_candidates", c.max_candidates);
+  visit("seed", c.seed);
+  visit("small_panel.max_edges_patterns", c.small_panel.max_edges_patterns);
+  visit("small_panel.max_wedge_patterns", c.small_panel.max_wedge_patterns);
+  visit("round_deadline_ms", c.round_deadline_ms);
+  visit("round_step_limit", c.round_step_limit);
+  visit("history_capacity", c.history_capacity);
+}
+
+// Bools and enums are written as integers. Numbers use to_chars' shortest
+// form, which reads back as the same value (ostream's default 6
+// significant digits would round doubles).
+template <typename T>
+std::string ConfigText(T value) {
+  if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T>) {
+    return std::to_string(static_cast<int>(value));
+  } else {
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
+  }
+}
+
+template <typename T>
+bool ParseConfigValue(const std::string& text, T* value) {
+  std::istringstream in(text);
+  if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T>) {
+    int v = 0;
+    if (!(in >> v)) return false;
+    *value = static_cast<T>(v);
+    return true;
+  } else {
+    return static_cast<bool>(in >> *value);
+  }
 }
 
 }  // namespace
 
 void WriteConfig(const MidasConfig& config, std::ostream& out) {
-  out << "fct.sup_min=" << config.fct.sup_min << "\n"
-      << "fct.max_edges=" << config.fct.max_edges << "\n"
-      << "cluster.num_coarse=" << config.cluster.num_coarse << "\n"
-      << "cluster.max_cluster_size=" << config.cluster.max_cluster_size
-      << "\n"
-      << "budget.eta_min=" << config.budget.eta_min << "\n"
-      << "budget.eta_max=" << config.budget.eta_max << "\n"
-      << "budget.gamma=" << config.budget.gamma << "\n"
-      << "walk.num_walks=" << config.walk.num_walks << "\n"
-      << "walk.walk_length=" << config.walk.walk_length << "\n"
-      << "epsilon=" << config.epsilon << "\n"
-      << "distance_measure=" << static_cast<int>(config.distance_measure)
-      << "\n"
-      << "kappa=" << config.kappa << "\n"
-      << "lambda=" << config.lambda << "\n"
-      << "swap.ks_alpha=" << config.swap.ks_alpha << "\n"
-      << "swap.max_scans=" << config.swap.max_scans << "\n"
-      << "swap.use_swap_alpha_schedule="
-      << (config.swap.use_swap_alpha_schedule ? 1 : 0) << "\n"
-      << "sample_cap=" << config.sample_cap << "\n"
-      << "pcp_starts=" << config.pcp_starts << "\n"
-      << "max_candidates=" << config.max_candidates << "\n"
-      << "seed=" << config.seed << "\n"
-      << "small_panel.max_edges_patterns="
-      << config.small_panel.max_edges_patterns << "\n"
-      << "small_panel.max_wedge_patterns="
-      << config.small_panel.max_wedge_patterns << "\n"
-      << "round_deadline_ms=" << config.round_deadline_ms << "\n"
-      << "round_step_limit=" << config.round_step_limit << "\n"
-      << "history_capacity=" << config.history_capacity << "\n";
+  VisitConfigFields(config, [&out](const char* key, const auto& value) {
+    out << key << '=' << ConfigText(value) << '\n';
+  });
 }
 
 bool ReadConfig(std::istream& in, MidasConfig* config) {
@@ -249,66 +283,13 @@ bool ReadConfig(std::istream& in, MidasConfig* config) {
     if (line.empty() || line[0] == '#') continue;
     size_t eq = line.find('=');
     if (eq == std::string::npos) return false;
-    std::string key = line.substr(0, eq);
-    std::string value = line.substr(eq + 1);
-    std::istringstream v(value);
+    const std::string key = line.substr(0, eq);
+    const std::string value = line.substr(eq + 1);
+    // Unknown keys match no field and are skipped (forward compatibility).
     bool ok = true;
-    if (key == "fct.sup_min") {
-      ok = static_cast<bool>(v >> config->fct.sup_min);
-    } else if (key == "fct.max_edges") {
-      ok = static_cast<bool>(v >> config->fct.max_edges);
-    } else if (key == "cluster.num_coarse") {
-      ok = static_cast<bool>(v >> config->cluster.num_coarse);
-    } else if (key == "cluster.max_cluster_size") {
-      ok = static_cast<bool>(v >> config->cluster.max_cluster_size);
-    } else if (key == "budget.eta_min") {
-      ok = static_cast<bool>(v >> config->budget.eta_min);
-    } else if (key == "budget.eta_max") {
-      ok = static_cast<bool>(v >> config->budget.eta_max);
-    } else if (key == "budget.gamma") {
-      ok = static_cast<bool>(v >> config->budget.gamma);
-    } else if (key == "walk.num_walks") {
-      ok = static_cast<bool>(v >> config->walk.num_walks);
-    } else if (key == "walk.walk_length") {
-      ok = static_cast<bool>(v >> config->walk.walk_length);
-    } else if (key == "epsilon") {
-      ok = static_cast<bool>(v >> config->epsilon);
-    } else if (key == "distance_measure") {
-      int m = 0;
-      ok = static_cast<bool>(v >> m);
-      if (ok) config->distance_measure = static_cast<DistributionDistance>(m);
-    } else if (key == "kappa") {
-      ok = static_cast<bool>(v >> config->kappa);
-    } else if (key == "lambda") {
-      ok = static_cast<bool>(v >> config->lambda);
-    } else if (key == "swap.ks_alpha") {
-      ok = static_cast<bool>(v >> config->swap.ks_alpha);
-    } else if (key == "swap.max_scans") {
-      ok = static_cast<bool>(v >> config->swap.max_scans);
-    } else if (key == "swap.use_swap_alpha_schedule") {
-      int b = 0;
-      ok = static_cast<bool>(v >> b);
-      if (ok) config->swap.use_swap_alpha_schedule = b != 0;
-    } else if (key == "sample_cap") {
-      ok = static_cast<bool>(v >> config->sample_cap);
-    } else if (key == "pcp_starts") {
-      ok = static_cast<bool>(v >> config->pcp_starts);
-    } else if (key == "max_candidates") {
-      ok = static_cast<bool>(v >> config->max_candidates);
-    } else if (key == "seed") {
-      ok = static_cast<bool>(v >> config->seed);
-    } else if (key == "small_panel.max_edges_patterns") {
-      ok = static_cast<bool>(v >> config->small_panel.max_edges_patterns);
-    } else if (key == "small_panel.max_wedge_patterns") {
-      ok = static_cast<bool>(v >> config->small_panel.max_wedge_patterns);
-    } else if (key == "round_deadline_ms") {
-      ok = static_cast<bool>(v >> config->round_deadline_ms);
-    } else if (key == "round_step_limit") {
-      ok = static_cast<bool>(v >> config->round_step_limit);
-    } else if (key == "history_capacity") {
-      ok = static_cast<bool>(v >> config->history_capacity);
-    }
-    // Unknown keys are skipped (forward compatibility).
+    VisitConfigFields(*config, [&](const char* name, auto& field) {
+      if (key == name) ok = ParseConfigValue(value, &field);
+    });
     if (!ok) return false;
   }
   return true;

@@ -66,8 +66,10 @@ bool SaveSnapshot(const MidasEngine& engine, const std::string& dir);
 /// Restores an engine from a snapshot directory: validates the MANIFEST
 /// (per-file CRC32), loads database (preserving graph ids) and config,
 /// enforces ValidateConfig (a snapshot that fails validation is refused —
-/// errors only; "warning:" entries pass), Initialize()s, reinstalls the
-/// saved panel and fast-forwards round_seq()/the id allocator. Resolution
+/// errors only; "warning:" entries pass), restores round_seq(), the ledger
+/// and the id allocator, and installs the saved panel with
+/// Initialize(PatternSet): every derived structure is re-derived, no
+/// selection runs. Resolution
 /// order tolerates a crash mid-save: `dir`, then `dir.tmp` (complete but
 /// unrenamed), then `dir.old` (swap interrupted). Returns nullptr on
 /// failure with a diagnostic in *error.

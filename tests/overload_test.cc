@@ -564,7 +564,10 @@ TEST(EngineHostOverloadTest, BlockedSubmitTimesOutWithRetryHint) {
   cfg.queue_capacity = 1;
   cfg.overflow = OverflowPolicy::kBlock;
   cfg.submit_timeout_ms = 25.0;
-  cfg.backoff_initial_ms = 1.0;
+  // Retries sleep 40 and then 80 ms, each past the submit deadline, so the
+  // writer holds every batch long enough on its own; the in-process
+  // recoveries between attempts are too quick to be relied on for that.
+  cfg.backoff_initial_ms = 40.0;
   // The breaker would stop the writer (and shed upstream) long before a
   // blocked push times out; this test wants the queue to stay full.
   cfg.overload.breaker.enabled = false;
@@ -572,7 +575,7 @@ TEST(EngineHostOverloadTest, BlockedSubmitTimesOutWithRetryHint) {
   std::string err;
   ASSERT_TRUE(host.Start(&err)) << err;
 
-  // Every round fails all attempts and recovers in between: the writer is
+  // Every round fails all attempts and backs off in between: the writer is
   // pinned long enough that a blocked producer hits its deadline.
   fail::Arm("serve.round.before_apply", 0, -1);
   bool timed_out = false;
